@@ -173,45 +173,6 @@ func TestEngineConformanceFuzz(t *testing.T) {
 	}
 }
 
-// corruptions are deterministic evidence mutations covering the rejection
-// space: wrong destinations, spurious and missing packets, truncation,
-// reordering, and an empty stream.
-func corruptions(pk []trace.Packet) map[string][]trace.Packet {
-	mut := make(map[string][]trace.Packet)
-	cp := func() []trace.Packet { return append([]trace.Packet(nil), pk...) }
-	if len(pk) == 0 {
-		return mut
-	}
-	mid := len(pk) / 2
-
-	m := cp()
-	m[mid].Dst ^= 4
-	mut["flip-dst"] = m
-
-	m = cp()
-	m[mid].Src ^= 4
-	mut["flip-src"] = m
-
-	mut["drop-packet"] = append(cp()[:mid], pk[mid+1:]...)
-	mut["truncate"] = cp()[:mid]
-	mut["empty"] = nil
-
-	m = cp()
-	m = append(m, m[len(m)-1])
-	mut["dup-last"] = m
-
-	if len(pk) > 1 {
-		m = cp()
-		m[mid-1], m[mid] = m[mid], m[mid-1]
-		mut["swap-adjacent"] = m
-	}
-
-	m = cp()
-	m = append(m, trace.Packet{Src: 0x1000_0000, Dst: 0x2000_0000})
-	mut["append-bogus"] = m
-	return mut
-}
-
 // TestEngineConformanceCorrupted: every corruption must reject (or
 // coincidentally accept) identically through both engines — rejection
 // codes, details, fail PCs and witness paths may never depend on the
@@ -228,7 +189,7 @@ func TestEngineConformanceCorrupted(t *testing.T) {
 			ref, fast, pk := attestedPackets(t, seed)
 			ref = ref.With(verify.WithMaxInstrs(20_000_000))
 			fast = fast.With(verify.WithMaxInstrs(20_000_000))
-			for name, mpk := range corruptions(pk) {
+			for name, mpk := range Corruptions(pk) {
 				diffEngines(t, ref, fast, mpk, name)
 			}
 		})
@@ -267,7 +228,7 @@ func TestEngineConformanceApps(t *testing.T) {
 			ref := NewVerifier(out, key, verify.WithAutomaton(false))
 			fast := NewVerifier(out, key)
 			diffEngines(t, ref, fast, pk, "benign")
-			for name, mpk := range corruptions(pk) {
+			for name, mpk := range Corruptions(pk) {
 				diffEngines(t, ref.With(verify.WithMaxInstrs(20_000_000)),
 					fast.With(verify.WithMaxInstrs(20_000_000)), mpk, name)
 			}
@@ -340,22 +301,33 @@ func TestEngineConformanceInconclusive(t *testing.T) {
 // a budget too small for the interpreter's fixed point, the automaton must
 // either accept (the documented divergence — its single validated walk can
 // fit the budget) or render the interpreter's exact budget verdict. Any
-// third outcome is a conformance failure.
+// third outcome is a conformance failure. Seeds 12 and 2 sit at budgets
+// where the interpreter's search fits with little to spare: replaying the
+// accepted derivation as the witness must not charge the budget again.
 func TestEngineConformanceBudget(t *testing.T) {
-	ref, fast, pk := attestedPackets(t, 5)
-	for _, budget := range []uint64{1, 100, 10_000, 1_000_000} {
-		r := ref.With(verify.WithMaxInstrs(budget)).ReplayPackets(pk)
-		f := fast.With(verify.WithMaxInstrs(budget)).ReplayPacketsAutomaton(pk)
-		switch {
-		case f.OK:
-			// Documented budget-band acceptance, or both engines fit.
-		case invariantOf(r).equal(invariantOf(f)):
-		default:
-			t.Errorf("budget=%d: interpreter %s vs automaton %s",
-				budget, invariantOf(r), invariantOf(f))
-		}
-		if !r.OK && r.Code != verify.ReasonWorkBudget && !f.OK && f.Code != r.Code {
-			t.Errorf("budget=%d: non-budget rejection diverged: %v vs %v", budget, r.Code, f.Code)
+	for _, c := range []struct {
+		seed    int64
+		budgets []uint64
+	}{
+		{5, []uint64{1, 100, 10_000, 1_000_000}},
+		{12, []uint64{2000}},
+		{2, []uint64{500}},
+	} {
+		ref, fast, pk := attestedPackets(t, c.seed)
+		for _, budget := range c.budgets {
+			r := ref.With(verify.WithMaxInstrs(budget)).ReplayPackets(pk)
+			f := fast.With(verify.WithMaxInstrs(budget)).ReplayPacketsAutomaton(pk)
+			switch {
+			case f.OK:
+				// Documented budget-band acceptance, or both engines fit.
+			case invariantOf(r).equal(invariantOf(f)):
+			default:
+				t.Errorf("seed=%d budget=%d: interpreter %s vs automaton %s",
+					c.seed, budget, invariantOf(r), invariantOf(f))
+			}
+			if !r.OK && r.Code != verify.ReasonWorkBudget && !f.OK && f.Code != r.Code {
+				t.Errorf("seed=%d budget=%d: non-budget rejection diverged: %v vs %v", c.seed, budget, r.Code, f.Code)
+			}
 		}
 	}
 }

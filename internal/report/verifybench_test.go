@@ -14,12 +14,15 @@ func TestVerifyBenchMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs) != 4 {
-		t.Fatalf("cells = %d, want 4 (engine x cache)", len(rs))
+	if want := 4 * (2 + len(VerifyBenchRejects)); len(rs) != want {
+		t.Fatalf("cells = %d, want %d (engine x cache x class)", len(rs), want)
 	}
 	seen := map[string]bool{}
 	for _, r := range rs {
-		seen[r.Engine+"/"+map[bool]string{false: "off", true: "on"}[r.Cache]] = true
+		seen[r.Engine+"/"+map[bool]string{false: "off", true: "on"}[r.Cache]+"/"+r.Class] = true
+		if reject := r.Class != "accept" && r.Class != "accept-replay"; reject != (r.RejectAcceptRatio > 0) {
+			t.Errorf("%s/cache=%v/%s: reject/accept ratio %v", r.Engine, r.Cache, r.Class, r.RejectAcceptRatio)
+		}
 		if r.App != "temperature" {
 			t.Errorf("app = %q", r.App)
 		}
@@ -30,14 +33,16 @@ func TestVerifyBenchMatrix(t *testing.T) {
 			t.Errorf("%s/cache=%v: missing log size", r.Engine, r.Cache)
 		}
 	}
-	for _, cell := range []string{"interp/off", "interp/on", "automaton/off", "automaton/on"} {
-		if !seen[cell] {
-			t.Errorf("matrix missing cell %s", cell)
+	for _, mode := range []string{"interp/off", "interp/on", "automaton/off", "automaton/on"} {
+		for _, class := range append([]string{"accept", "accept-replay"}, VerifyBenchRejects...) {
+			if !seen[mode+"/"+class] {
+				t.Errorf("matrix missing cell %s/%s", mode, class)
+			}
 		}
 	}
 
 	tab := VerifyBenchTable(rs)
-	for _, w := range []string{"temperature", "interp", "automaton", "speedup", "x"} {
+	for _, w := range []string{"temperature", "interp", "automaton", "speedup", "rej/acc", "insert-hijack", "x"} {
 		if !strings.Contains(tab, w) {
 			t.Errorf("table missing %q:\n%s", w, tab)
 		}

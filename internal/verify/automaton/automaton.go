@@ -34,10 +34,12 @@
 //     (the differential conformance suite pins this invariant).
 //   - On ANY other outcome — contradictions exhausted, caps or budget
 //     exceeded, unknown dictionary marker, expansion overflow — it
-//     returns a non-accept status and the caller re-runs the interpreter,
-//     which renders the authoritative verdict. Reject, Inconclusive,
-//     error and budget verdicts are therefore identical to the
-//     interpreter's by construction.
+//     returns a non-accept status and the caller runs the interpreter,
+//     which renders the authoritative verdict. A non-accept lets the
+//     interpreter certify the reject first and stop at its deciding
+//     contradiction, which is exact. Reject, Inconclusive, error and
+//     budget verdicts are therefore identical to the interpreter's by
+//     construction.
 //
 // Speculation uses consume-first checkpointing: at a presence-encoded
 // conditional whose next packet matches, the taken (consuming) direction

@@ -236,14 +236,16 @@ func (c *Cache) storeVerdict(hmem [sha256.Size]byte, packets []trace.Packet, vd 
 
 // --- segment entries -------------------------------------------------
 
-// noteRec is a diagnostic captured during a recorded segment walk,
-// replayed on every cache hit so rejection detail does not depend on
-// which session first walked the segment.
+// noteRec is a diagnostic captured during a segment walk, replayed
+// wherever the walk's result is reused (cache hits, the certify pass's
+// segments) so rejection detail does not depend on who walked it. The
+// message is formatted only when a replay makes it the verdict's.
 type noteRec struct {
 	pc     uint32
 	code   ReasonCode
-	msg    string
 	attack bool
+	format string
+	args   []any
 }
 
 // segSummary is one relocatable deterministic-segment result: entering at
@@ -255,8 +257,9 @@ type segSummary struct {
 	loopCtx loopMap
 	win     []trace.Packet
 	eos     bool
-	res     advState // cursor fields are deltas from the entry cursor
+	res     advState // cursor is a delta from the entry cursor
 	note    *noteRec
+	work    uint64 // budget the walk charged
 }
 
 // matches reports whether the summary applies at packets[cursor:].

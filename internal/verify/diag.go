@@ -2,29 +2,13 @@ package verify
 
 import "raptrack/internal/trace"
 
-// Diag runs the search and reports memo geometry (diagnostic/benchmark
-// aid): entry count, total outcomes, advance-memo size and abstract work.
+// Diag runs the full fixed-point search and reports memo geometry
+// (diagnostic/benchmark aid): entry count, total outcomes, advance-memo
+// size and abstract work.
 func Diag(v *Verifier, packets []trace.Packet) (entries, outcomes, advs int, work uint64) {
-	img := v.link.Image
-	entryPC, _ := img.EntryAddr()
-	s := &summarizer{
-		v:       v,
-		packets: packets,
-		memo:    make(map[nodeKey]*entry),
-		advMemo: make(map[nodeKey]advState),
-		inDirty: make(map[nodeKey]bool),
-		segCap:  uint64(len(img.Code)) + 16,
-		debug:   v.opts.debug,
-	}
-	s.walkState(entryPC, 0, nil)
-	for len(s.dirty) > 0 && !s.aborted {
-		key := s.dirty[0]
-		s.dirty = s.dirty[1:]
-		delete(s.inDirty, key)
-		if e := s.memo[key]; e != nil {
-			s.evaluate(key, e)
-		}
-	}
+	entryPC, _ := v.link.Image.EntryAddr()
+	s := newSummarizer(v, packets)
+	s.drain(entryPC)
 	for _, e := range s.memo {
 		outcomes += len(e.outs)
 	}

@@ -13,7 +13,9 @@ import (
 // default engine for the accept path; the interpretive pushdown search
 // stays on as the reference oracle and renders every non-accept verdict,
 // which keeps reject/Inconclusive/error verdicts bit-identical to the
-// interpreter by construction.
+// interpreter by construction. A stream the automaton declined goes
+// through the interpreter's certify pass first, so a reject stops at the
+// contradiction that decides it (see reconstruct).
 type Automaton = automaton.Machine
 
 // AutomatonCounters aggregates automaton compile/decode activity. A
@@ -71,9 +73,11 @@ func (v *Verifier) reconcileAutomaton() {
 //
 // Engine equivalence: an automaton accept is a validated benign
 // derivation carrying the same witness the interpreter materializes; on
-// any non-accept the interpreter re-runs and renders the authoritative
-// verdict, so rejection codes, details and errors never depend on the
-// engine. The one documented exception is the work budget: the automaton
+// any non-accept the interpreter runs and renders the authoritative
+// verdict — certified first, so it stops at the deciding contradiction
+// when the pass allows, which is exact — so rejection codes, details and
+// errors never depend on the engine. The one
+// documented exception is the work budget: the automaton
 // counts abstract instructions on the single speculative walk, not the
 // whole fixed point, so a stream the interpreter would abort on
 // ReasonWorkBudget can instead be accepted if the walk fits the budget —
@@ -94,15 +98,17 @@ func (v *Verifier) VerifyWithAutomaton(chal attest.Challenge, reports []*attest.
 
 // ReplayPacketsAutomaton is ReplayPackets through the fast path: the
 // stream is decoded against v's compiled table, with any non-accept
-// re-rendered by the interpreter. The differential conformance suite
+// certified and rendered by the interpreter. The differential conformance suite
 // compares this against ReplayPackets (pure interpreter) packet-for-packet.
 func (v *Verifier) ReplayPacketsAutomaton(packets []trace.Packet) *Verdict {
 	if v.opts.automaton && v.aut != nil {
-		if res, st := v.aut.Decode(packets, v.opts.pathCap, v.opts.maxInstrs); st == automaton.StatusAccept {
+		res, st := v.aut.Decode(packets, v.opts.pathCap, v.opts.maxInstrs)
+		if st == automaton.StatusAccept {
 			return acceptVerdict(&res)
 		}
+		return v.reconstruct(packets, len(packets) >= certifyMinPackets)
 	}
-	return v.reconstruct(packets)
+	return v.reconstruct(packets, false)
 }
 
 // acceptVerdict shapes an automaton accept as the Verdict the interpreter

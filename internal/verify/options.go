@@ -64,9 +64,12 @@ func WithSpeculation(d *speccfa.Dictionary) Option {
 
 // WithAutomaton toggles the table-driven fast path (default on): the
 // compiled automaton decodes the accept path, and the interpreter — the
-// reference oracle — renders every non-accept verdict. Off means every
-// verification runs the interpretive pushdown search, as before the
-// automaton existed; the differential conformance suite runs both.
+// reference oracle — renders every non-accept verdict, stopping at the
+// contradiction that decides it when its certify pass allows. Off means
+// every verification runs the interpretive pushdown search to its full
+// fixed point, as before the automaton existed (with no automaton to
+// decline a stream first, no certify pass runs, so accepts never pay for
+// one); the differential conformance suite runs both.
 func WithAutomaton(on bool) Option {
 	return func(o *options) { o.automaton = on }
 }

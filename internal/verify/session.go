@@ -332,6 +332,9 @@ func (s *Session) seal() (*Verdict, error) {
 	}
 	aut := s.aut
 	dict := s.dict
+	// declined records that the automaton decoded this stream without
+	// accepting it: the hint that lets the interpreter certify a reject.
+	declined := false
 
 	// Streamed fast path: the per-slice prefix walk has already consumed
 	// the stream; finish it with batch semantics instead of re-walking
@@ -371,7 +374,7 @@ func (s *Session) seal() (*Verdict, error) {
 			vd.Timing = tm
 			return vd, nil
 		}
-		aut = nil
+		aut, declined = nil, true
 	}
 
 	packets, derr := pipeline.New(pipeline.MTBChain(log, s.wraps, s.dropped), pipeline.FailOnLoss()).Packets()
@@ -416,7 +419,7 @@ func (s *Session) seal() (*Verdict, error) {
 		// Non-accept: the interpreter renders the verdict. Do not retry
 		// the automaton on the expanded stream — the derivation space is
 		// identical, so it would fail the same way.
-		aut = nil
+		aut, declined = nil, true
 	}
 
 	if dict.Len() > 0 {
@@ -443,10 +446,12 @@ func (s *Session) seal() (*Verdict, error) {
 	if aut != nil {
 		if res, st := aut.Decode(packets, v.opts.pathCap, v.opts.maxInstrs); st == automaton.StatusAccept {
 			vd = acceptVerdict(&res)
+		} else {
+			declined = true
 		}
 	}
 	if vd == nil {
-		vd = v.reconstruct(packets)
+		vd = v.reconstruct(packets, declined && len(packets) >= certifyMinPackets)
 	}
 	tm.Search += time.Since(phase)
 	vd.Evidence = packets

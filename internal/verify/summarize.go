@@ -67,11 +67,16 @@ func (l loopMap) hash() uint64 {
 	return h
 }
 
-// nodeKey identifies a memoized decision state.
+// nodeKey identifies a memoized decision state. It packs into 16 bytes
+// with no padding, which keeps map hashing on the fast path.
 type nodeKey struct {
 	pc     uint32
-	cursor int
+	cursor int32
 	lhash  uint64
+}
+
+func keyOf(pc uint32, cursor int, loopCtx loopMap) nodeKey {
+	return nodeKey{pc: pc, cursor: int32(cursor), lhash: loopCtx.hash()}
 }
 
 // entry is the memo cell for one nodeKey: the node's evaluation context,
@@ -107,7 +112,7 @@ type summarizer struct {
 	packets []trace.Packet
 
 	memo      map[nodeKey]*entry
-	advMemo   map[nodeKey]advState
+	advMemo   map[nodeKey]memoSeg
 	evalStack []nodeKey
 	dirty     []nodeKey
 	inDirty   map[nodeKey]bool
@@ -121,8 +126,26 @@ type summarizer struct {
 	firstPC     uint32
 	attackNoted bool
 
-	cache *Cache      // shared cross-session segment cache (nil = off)
-	rec   *segRecord  // active segment recording (nil outside cache misses)
+	// stop is when the verdict is final (set from a certify pass), and
+	// decided latches it: from then on nothing is walked, evaluated or
+	// extended.
+	stop    stopRule
+	decided bool
+	// pre holds the certify pass's segment walks, reused by the search
+	// instead of walking them again.
+	pre map[nodeKey]memoSeg
+	// segNote is the note the current advanceOnce fired, if any, kept
+	// only where a walk is reused: in a cache recording or a certify
+	// pass.
+	segNote *noteRec
+	// certifying marks a certify pass. Its cache hits charge their
+	// recorded walk cost, so work measures the whole fixed point as if no
+	// cache were attached (the pass's budget check), and it keeps every
+	// segment's note, because the search replays its walks.
+	certifying bool
+
+	cache *Cache     // shared cross-session segment cache (nil = off)
+	rec   *segRecord // active segment recording (nil outside cache misses)
 
 	segCap    uint64 // max instructions per deterministic segment
 	emitLoops uint64 // loop trip counts applied during witness emission
@@ -135,38 +158,85 @@ type segRecord struct {
 	start int // entry cursor
 	end   int // one past the last peeked in-stream position
 	eos   bool
-	note  *noteRec
 }
 
+// newSummarizer returns the search state for one reconstruction of
+// packets, attached to v's shared segment cache.
+func newSummarizer(v *Verifier, packets []trace.Packet) *summarizer {
+	return &summarizer{
+		v:       v,
+		packets: packets,
+		memo:    make(map[nodeKey]*entry),
+		advMemo: make(map[nodeKey]memoSeg),
+		inDirty: make(map[nodeKey]bool),
+		cache:   v.opts.cache,
+		segCap:  uint64(len(v.link.Image.Code)) + 16,
+		debug:   v.opts.debug,
+	}
+}
+
+// drain seeds the search at the entry frame and iterates the dirty queue
+// to the fixed point, or until the budget aborts it or the verdict is
+// decided.
+func (s *summarizer) drain(entryPC uint32) {
+	s.walkState(entryPC, 0, nil)
+	for len(s.dirty) > 0 && !s.aborted && !s.decided {
+		key := s.dirty[0]
+		s.dirty = s.dirty[1:]
+		delete(s.inDirty, key)
+		if e := s.memo[key]; e != nil {
+			s.evaluate(key, e)
+		}
+	}
+}
+
+// stopRule says when a search's verdict is final before the fixed point.
+// note keeps the first contradiction and noteAttack replaces it only with
+// the first attack, so once certify has shown that no root outcome
+// accepts and that the fixed point fits the budget, the verdict is final
+// at the first note when no attack is reachable, and at the first attack
+// note when one is.
+type stopRule uint8
+
+const (
+	stopNever       stopRule = iota // run the full fixed point
+	stopFirstNote                   // no attack is reachable
+	stopFirstAttack                 // some attack is reachable
+)
+
 func (s *summarizer) note(code ReasonCode, pc uint32, format string, args ...any) {
-	if s.debug {
-		fmt.Printf("note(eval %d): pc=%#x: %s\n", s.evals, pc, fmt.Sprintf(format, args...))
-	}
-	if r := s.rec; r != nil && r.note == nil {
-		r.note = &noteRec{pc: pc, code: code, msg: fmt.Sprintf(format, args...)}
-	}
-	if s.firstReason == "" {
-		s.firstCode = code
-		s.firstReason = fmt.Sprintf(format, args...)
-		s.firstPC = pc
-	}
+	s.record(noteRec{pc: pc, code: code, format: format, args: args})
 }
 
 // noteAttack records a policy violation (ROP/JOP/escape). These are the
 // actionable diagnostics, so they take precedence over generic
 // missing-evidence notes from abandoned search branches.
 func (s *summarizer) noteAttack(code ReasonCode, pc uint32, format string, args ...any) {
+	s.record(noteRec{pc: pc, code: code, attack: true, format: format, args: args})
+}
+
+// record applies the diagnostic precedence: the first note stands until
+// the first attack note replaces it, once.
+func (s *summarizer) record(n noteRec) {
 	if s.debug {
-		fmt.Printf("ATTACK(eval %d): pc=%#x: %s\n", s.evals, pc, fmt.Sprintf(format, args...))
+		label := "note"
+		if n.attack {
+			label = "ATTACK"
+		}
+		fmt.Printf("%s(eval %d): pc=%#x: %s\n", label, s.evals, n.pc, fmt.Sprintf(n.format, n.args...))
 	}
-	if r := s.rec; r != nil && r.note == nil {
-		r.note = &noteRec{pc: pc, code: code, msg: fmt.Sprintf(format, args...), attack: true}
+	if s.segNote == nil && (s.certifying || s.rec != nil) {
+		nn := n
+		s.segNote = &nn
 	}
-	if s.firstReason == "" || !s.attackNoted {
-		s.firstCode = code
-		s.firstReason = fmt.Sprintf(format, args...)
-		s.firstPC = pc
-		s.attackNoted = true
+	if s.firstReason == "" || (n.attack && !s.attackNoted) {
+		s.firstCode = n.code
+		s.firstReason = fmt.Sprintf(n.format, n.args...)
+		s.firstPC = n.pc
+		s.attackNoted = s.attackNoted || n.attack
+		if s.stop == stopFirstNote || (s.stop == stopFirstAttack && n.attack) {
+			s.decided = true
+		}
 	}
 }
 
@@ -191,29 +261,29 @@ const (
 // advState is the result of advancing a deterministic segment.
 type advState struct {
 	kind    advKind
-	pc      uint32
-	cursor  int
-	loopCtx loopMap
-	exit    struct {
-		kind   exitKind
-		cursor int
-		retDst uint32
-		pc     uint32 // address of the exiting instruction
-	}
+	exit    exitKind // advExit: how the frame completed
+	pc      uint32   // advNode: the node; advExit: the exiting instruction
+	retDst  uint32   // advExit with exitRet: the recorded return destination
+	cursor  int      // evidence cursor at the node, or after the exit
+	loopCtx loopMap  // advNode: loop state at the node
 }
 
 // advance walks deterministic steps (plain instructions, direct branches,
 // optimized-loop conditionals and loop-condition SECALLs, indirect jumps
 // and monitored returns — all evidence-forced) until a branching node, a
 // frame exit, or a contradiction. When emit is non-nil the traversed
-// transfers are reported (witness materialization).
+// transfers are reported (witness materialization); replaying a
+// derivation the search already validated charges no budget.
 func (s *summarizer) advance(pc uint32, cursor int, loopCtx loopMap, emit func(Edge)) advState {
 	v := s.v
 	img := v.link.Image
 	var steps uint64
+	// owned marks loopCtx as this walk's private copy: the first update
+	// clones the caller's snapshot, later ones write in place.
+	owned := false
 	for {
 		steps++
-		if steps > s.segCap || !s.budget(1) {
+		if steps > s.segCap || (emit == nil && !s.budget(1)) {
 			if steps > s.segCap {
 				s.note(ReasonMalformedEvidence, pc, "deterministic segment does not terminate (infinite loop at %#x)", pc)
 			}
@@ -240,12 +310,7 @@ func (s *summarizer) advance(pc uint32, cursor int, loopCtx loopMap, emit func(E
 				if emit != nil {
 					emit(Edge{Src: pc, Dst: p.Dst, Kind: isa.KindReturn})
 				}
-				st := advState{kind: advExit}
-				st.exit.kind = exitRet
-				st.exit.cursor = cursor + 1
-				st.exit.retDst = p.Dst
-				st.exit.pc = pc
-				return st
+				return advState{kind: advExit, exit: exitRet, pc: pc, retDst: p.Dst, cursor: cursor + 1}
 			case cfg.ClassIndirectJump:
 				p, have := s.peek(cursor)
 				if !have || p.Src != site.RecordAddr {
@@ -289,14 +354,14 @@ func (s *summarizer) advance(pc uint32, cursor int, loopCtx loopMap, emit func(E
 					return advState{kind: advPrune}
 				}
 				rem = trips
-				loopCtx = loopCtx.clone()
-				loopCtx[pc] = rem
 				if emit != nil {
 					s.emitLoops++
 				}
 			}
 			taken := false
-			loopCtx = loopCtx.clone()
+			if !owned {
+				loopCtx, owned = loopCtx.clone(), true
+			}
 			if ls.Loop.Forward {
 				if rem == 0 {
 					taken = true
@@ -334,7 +399,9 @@ func (s *summarizer) advance(pc uint32, cursor int, loopCtx loopMap, emit func(E
 				s.note(ReasonMalformedEvidence, pc, "loop-condition evidence invalid: %v", err)
 				return advState{kind: advPrune}
 			}
-			loopCtx = loopCtx.clone()
+			if !owned {
+				loopCtx, owned = loopCtx.clone(), true
+			}
 			loopCtx[ls.CondAddr] = trips
 			if emit != nil {
 				s.emitLoops++
@@ -358,17 +425,9 @@ func (s *summarizer) advance(pc uint32, cursor int, loopCtx loopMap, emit func(E
 		case isa.KindReturn:
 			// Deterministic leaf return. The destination is only known to
 			// the caller, which emits the edge (witness materialization).
-			st := advState{kind: advExit}
-			st.exit.kind = exitLeaf
-			st.exit.cursor = cursor
-			st.exit.pc = pc
-			return st
+			return advState{kind: advExit, exit: exitLeaf, pc: pc, cursor: cursor}
 		case isa.KindHalt:
-			st := advState{kind: advExit}
-			st.exit.kind = exitHalt
-			st.exit.cursor = cursor
-			st.exit.pc = pc
-			return st
+			return advState{kind: advExit, exit: exitHalt, pc: pc, cursor: cursor}
 		case isa.KindSecureCall:
 			s.note(ReasonMalformedEvidence, pc, "unexpected secure call in attested code at %#x", pc)
 			return advState{kind: advPrune}
@@ -398,27 +457,63 @@ func (s *summarizer) peek(cursor int) (trace.Packet, bool) {
 }
 
 // walkState advances from (pc, cursor, loopCtx) and returns the frame
-// outcomes from there. Deterministic advances are memoized per session
-// (worklist re-evaluations would otherwise re-walk the same segments) and,
-// when a shared cache is attached, across sessions as relocatable segment
-// summaries.
+// outcomes from there.
 func (s *summarizer) walkState(pc uint32, cursor int, loopCtx loopMap) []*outcome {
-	k := nodeKey{pc: pc, cursor: cursor, lhash: loopCtx.hash()}
-	st, ok := s.advMemo[k]
-	if !ok {
-		st, ok = s.cachedAdvance(pc, cursor, loopCtx)
-		if !ok {
-			st = s.recordedAdvance(pc, cursor, loopCtx)
-		}
-		s.advMemo[k] = st
+	if s.decided {
+		return nil
 	}
+	st := s.advanceOnce(pc, cursor, loopCtx)
 	switch st.kind {
 	case advPrune:
 		return nil
 	case advExit:
-		return []*outcome{{kind: st.exit.kind, cursor: st.exit.cursor, retDst: st.exit.retDst}}
+		return []*outcome{{kind: st.exit, cursor: st.cursor, retDst: st.retDst}}
 	}
 	return s.walkNode(st.pc, st.cursor, st.loopCtx)
+}
+
+// memoSeg is one memoized advance: its result, the work it charged and
+// the note it fired.
+type memoSeg struct {
+	st   advState
+	work uint64
+	note *noteRec
+}
+
+// advanceOnce returns the deterministic advance from (pc, cursor,
+// loopCtx). Advances are memoized per search (worklist re-evaluations
+// would otherwise re-walk the same segments), taken from the certify
+// pass when it walked them, and, when a shared cache is attached, shared
+// across sessions as relocatable segment summaries. A reused walk charges
+// the budget and fires its note here, as walking it would.
+func (s *summarizer) advanceOnce(pc uint32, cursor int, loopCtx loopMap) advState {
+	k := keyOf(pc, cursor, loopCtx)
+	if m, ok := s.advMemo[k]; ok {
+		return m.st
+	}
+	s.segNote = nil
+	m, ok := s.pre[k]
+	switch {
+	case ok && !s.budget(m.work):
+		m = memoSeg{st: advState{kind: advPrune}}
+	case ok:
+		if m.note != nil {
+			s.record(*m.note)
+		}
+	default:
+		start := s.work
+		if m.st, ok = s.cachedAdvance(pc, cursor, loopCtx); !ok {
+			m.st = s.recordedAdvance(pc, cursor, loopCtx)
+			m.work = s.work - start
+		}
+		m.note = s.segNote
+	}
+	if !s.aborted {
+		// A walk the budget cut short is no result: keep it out of the
+		// memo, which the certify pass hands to the search.
+		s.advMemo[k] = m
+	}
+	return m.st
 }
 
 // cachedAdvance consults the shared cross-session segment cache. On a hit
@@ -432,19 +527,15 @@ func (s *summarizer) cachedAdvance(pc uint32, cursor int, loopCtx loopMap) (advS
 	if !ok {
 		return advState{}, false
 	}
-	if n := sg.note; n != nil {
-		if n.attack {
-			s.noteAttack(n.code, n.pc, "%s", n.msg)
-		} else {
-			s.note(n.code, n.pc, "%s", n.msg)
-		}
+	if s.certifying && !s.budget(sg.work) {
+		return advState{kind: advPrune}, true
+	}
+	if sg.note != nil {
+		s.record(*sg.note)
 	}
 	st := sg.res
-	switch st.kind {
-	case advNode:
+	if st.kind != advPrune {
 		st.cursor += cursor
-	case advExit:
-		st.exit.cursor += cursor
 	}
 	return st, true
 }
@@ -459,6 +550,7 @@ func (s *summarizer) recordedAdvance(pc uint32, cursor int, loopCtx loopMap) adv
 	}
 	rec := &segRecord{start: cursor, end: cursor}
 	s.rec = rec
+	start := s.work
 	st := s.advance(pc, cursor, loopCtx, nil)
 	s.rec = nil
 	if s.aborted {
@@ -470,13 +562,11 @@ func (s *summarizer) recordedAdvance(pc uint32, cursor int, loopCtx loopMap) adv
 		win:     append([]trace.Packet(nil), s.packets[rec.start:rec.end]...),
 		eos:     rec.eos,
 		res:     st,
-		note:    rec.note,
+		note:    s.segNote,
+		work:    s.work - start,
 	}
-	switch st.kind {
-	case advNode:
+	if st.kind != advPrune {
 		sg.res.cursor -= cursor
-	case advExit:
-		sg.res.exit.cursor -= cursor
 	}
 	s.cache.storeSegment(s.v.hmem, sg)
 	return st
@@ -486,7 +576,7 @@ func (s *summarizer) recordedAdvance(pc uint32, cursor int, loopCtx loopMap) adv
 // evaluating it on first discovery and recording a reverse-dependency
 // edge from the node currently being evaluated.
 func (s *summarizer) walkNode(pc uint32, cursor int, loopCtx loopMap) []*outcome {
-	key := nodeKey{pc: pc, cursor: cursor, lhash: loopCtx.hash()}
+	key := keyOf(pc, cursor, loopCtx)
 	e := s.memo[key]
 	if e == nil {
 		e = &entry{
@@ -520,7 +610,7 @@ func (s *summarizer) markDirty(key nodeKey) {
 // evaluate (re)computes one node's outcomes from its stored context.
 // Growth propagates to dependents through the dirty queue.
 func (s *summarizer) evaluate(key nodeKey, e *entry) {
-	if e.visiting || s.aborted {
+	if e.visiting || s.aborted || s.decided {
 		return
 	}
 	e.visiting = true
@@ -532,6 +622,9 @@ func (s *summarizer) evaluate(key nodeKey, e *entry) {
 	// allocating only for outcomes not already in the set.
 	extend := func(branch uint8, callee *outcome, conts []*outcome) {
 		for _, c := range conts {
+			if s.decided {
+				return
+			}
 			vk := c.valueKey()
 			if e.have[vk] {
 				continue
@@ -547,67 +640,111 @@ func (s *summarizer) evaluate(key nodeKey, e *entry) {
 		}
 	}
 
-	v := s.v
-	img := v.link.Image
-	ins := img.Code[pc]
-	next := pc + ins.Size()
-
-	if site, isSite := v.link.Sites[pc]; isSite {
-		switch site.Class {
-		case cfg.ClassCondNonLoop, cfg.ClassCondLoopBack:
-			// Not-taken: always structurally possible.
-			extend(brExit, nil, s.walkState(next, cursor, loopCtx))
-			// Taken: gated on matching evidence.
-			if p, have := s.peek(cursor); have && p.Src == site.RecordAddr {
-				if p.Dst == site.StaticTarget {
-					extend(brConsume, nil, s.walkState(site.StaticTarget, cursor+1, loopCtx))
-				} else {
-					s.note(ReasonMalformedEvidence, pc, "conditional evidence destination %#x != static target %#x", p.Dst, site.StaticTarget)
-				}
-			}
-		case cfg.ClassCondLoopFwd:
-			// pc is the inserted continue-logging B: must consume.
-			p, have := s.peek(cursor)
-			if !have || p.Src != site.RecordAddr {
-				s.note(ReasonMissingEvidence, pc, "missing loop-continue evidence for site %#x", pc)
-			} else if p.Dst != site.StaticTarget {
-				s.note(ReasonMalformedEvidence, pc, "loop-continue evidence destination %#x != static target %#x", p.Dst, site.StaticTarget)
-			} else {
-				extend(brConsume, nil, s.walkState(site.StaticTarget, cursor+1, loopCtx))
-			}
-		case cfg.ClassIndirectCall:
-			p, have := s.peek(cursor)
-			if !have || p.Src != site.RecordAddr {
-				s.note(ReasonMissingEvidence, pc, "missing indirect-call evidence for site %#x", pc)
-			} else if !v.entries[p.Dst] {
-				s.noteAttack(ReasonJOP, pc, "indirect call to %#x, which is not a function entry (JOP)", p.Dst)
-			} else {
-				s.call(key, pc, next, p.Dst, cursor+1, loopCtx, extend)
-			}
+	next := pc + s.v.link.Image.Code[pc].Size()
+	ms, n := s.moves(pc, cursor)
+	for _, m := range ms[:n] {
+		switch m.kind {
+		case moveSucc:
+			extend(m.branch, nil, s.walkState(m.to, m.at, loopCtx))
+		case moveCall:
+			s.call(pc, next, m.to, m.at, loopCtx, extend)
+		case moveNote:
+			s.record(m.note)
 		}
-	} else if _, isGuard := v.link.Guards[pc]; isGuard {
-		stub := v.link.Guards[pc]
-		// Exit taken: no evidence consumed.
-		extend(brExit, nil, s.walkState(ins.Target, cursor, loopCtx))
-		// Continue: falls into the logging B (which consumes); gated.
-		if p, have := s.peek(cursor); have && p.Src == stub.RecordAddr {
-			extend(brConsume, nil, s.walkState(next, cursor, loopCtx))
-		}
-	} else if ins.Kind() == isa.KindCall {
-		s.call(key, pc, next, ins.Target, cursor, loopCtx, extend)
-	} else {
-		s.note(ReasonUnexplained, pc, "internal: evaluate at non-node %#x", pc)
 	}
 
 	s.evalStack = s.evalStack[:len(s.evalStack)-1]
 	e.visiting = false
 }
 
+type moveKind uint8
+
+const (
+	moveSucc moveKind = iota // a local successor: to at cursor at, via branch
+	moveCall                 // a call into the callee entry to at cursor at
+	moveNote                 // a contradiction met between the other moves
+)
+
+// move is one step out of a branching or calling node.
+type move struct {
+	kind   moveKind
+	branch uint8
+	to     uint32
+	at     int
+	note   noteRec
+}
+
+// moves lists the steps out of the branching or calling node at (pc,
+// cursor) in evaluation order; a node has at most two. Contradictions are
+// moves too, so they are recorded in the order the search meets them. The
+// search and the certify pass both step nodes through it, so they explore
+// the same configuration space.
+func (s *summarizer) moves(pc uint32, cursor int) (ms [2]move, n int) {
+	add := func(m move) { ms[n] = m; n++ }
+	succ := func(branch uint8, to uint32, at int) { add(move{kind: moveSucc, branch: branch, to: to, at: at}) }
+	note := func(code ReasonCode, attack bool, format string, args ...any) {
+		add(move{kind: moveNote, note: noteRec{pc: pc, code: code, attack: attack, format: format, args: args}})
+	}
+	v := s.v
+	ins := v.link.Image.Code[pc]
+	next := pc + ins.Size()
+
+	if site, isSite := v.link.Sites[pc]; isSite {
+		switch site.Class {
+		case cfg.ClassCondNonLoop, cfg.ClassCondLoopBack:
+			// Not-taken: always structurally possible.
+			succ(brExit, next, cursor)
+			// Taken: gated on matching evidence.
+			if p, have := s.peek(cursor); have && p.Src == site.RecordAddr {
+				if p.Dst == site.StaticTarget {
+					succ(brConsume, site.StaticTarget, cursor+1)
+				} else {
+					note(ReasonMalformedEvidence, false, "conditional evidence destination %#x != static target %#x", p.Dst, site.StaticTarget)
+				}
+			}
+		case cfg.ClassCondLoopFwd:
+			// pc is the inserted continue-logging B: must consume.
+			p, have := s.peek(cursor)
+			if !have || p.Src != site.RecordAddr {
+				note(ReasonMissingEvidence, false, "missing loop-continue evidence for site %#x", pc)
+			} else if p.Dst != site.StaticTarget {
+				note(ReasonMalformedEvidence, false, "loop-continue evidence destination %#x != static target %#x", p.Dst, site.StaticTarget)
+			} else {
+				succ(brConsume, site.StaticTarget, cursor+1)
+			}
+		case cfg.ClassIndirectCall:
+			p, have := s.peek(cursor)
+			if !have || p.Src != site.RecordAddr {
+				note(ReasonMissingEvidence, false, "missing indirect-call evidence for site %#x", pc)
+			} else if !v.entries[p.Dst] {
+				note(ReasonJOP, true, "indirect call to %#x, which is not a function entry (JOP)", p.Dst)
+			} else {
+				add(move{kind: moveCall, to: p.Dst, at: cursor + 1})
+			}
+		}
+	} else if stub, isGuard := v.link.Guards[pc]; isGuard {
+		// Exit taken: no evidence consumed.
+		succ(brExit, ins.Target, cursor)
+		// Continue: falls into the logging B (which consumes); gated.
+		if p, have := s.peek(cursor); have && p.Src == stub.RecordAddr {
+			succ(brConsume, next, cursor)
+		}
+	} else if ins.Kind() == isa.KindCall {
+		add(move{kind: moveCall, to: ins.Target, at: cursor})
+	} else {
+		note(ReasonUnexplained, false, "internal: evaluate at non-node %#x", pc)
+	}
+	return ms, n
+}
+
 // call evaluates a call node: callee outcomes compose with continuations.
-func (s *summarizer) call(key nodeKey, pc, retSite, callee uint32, cursor int, loopCtx loopMap,
+func (s *summarizer) call(pc, retSite, callee uint32, cursor int, loopCtx loopMap,
 	extend func(uint8, *outcome, []*outcome)) {
 	couts := s.walkState(callee, cursor, nil)
 	for _, co := range couts {
+		if s.decided {
+			return
+		}
 		switch co.kind {
 		case exitHalt:
 			// The program ended inside the callee.
@@ -624,23 +761,30 @@ func (s *summarizer) call(key nodeKey, pc, retSite, callee uint32, cursor int, l
 	}
 }
 
+// certifyMinPackets is the shortest declined stream worth certifying.
+// Below it the pass can cost more than stopping early saves: insert-hijack
+// rejects of 27 to 33 packets ran up to 1.9x slower certified (syringe
+// with the segment cache, gps prefixes), while from 64 packets on the
+// certified render won on every app measured.
+const certifyMinPackets = 64
+
 // reconstruct runs the worklist fixed-point search over packets and, on
-// acceptance, materializes the witness path.
-func (v *Verifier) reconstruct(packets []trace.Packet) *Verdict {
+// acceptance, materializes the witness path. A caller that already knows
+// the stream is no accept — the automaton decoded it without accepting —
+// and finds it at least certifyMinPackets long sets certify: a certify
+// pass then runs first, and when it proves the stream rejects within
+// budget, the search stops at the contradiction that decides the verdict
+// instead of completing the fixed point. An accept never pays for the
+// pass.
+func (v *Verifier) reconstruct(packets []trace.Packet, certify bool) *Verdict {
 	img := v.link.Image
 	entryPC, err := img.EntryAddr()
 	if err != nil {
 		return &Verdict{OK: false, Code: ReasonBadImage, Detail: fmt.Sprintf("golden image has no entry: %v", err), Packets: len(packets)}
 	}
-	s := &summarizer{
-		v:       v,
-		packets: packets,
-		memo:    make(map[nodeKey]*entry),
-		advMemo: make(map[nodeKey]advState),
-		inDirty: make(map[nodeKey]bool),
-		cache:   v.opts.cache,
-		segCap:  uint64(len(img.Code)) + 16,
-		debug:   v.opts.debug,
+	s := newSummarizer(v, packets)
+	if certify {
+		s.stop, s.pre = v.certify(packets, entryPC)
 	}
 
 	fail := func(code ReasonCode, detail string, pc uint32) *Verdict {
@@ -650,22 +794,12 @@ func (v *Verifier) reconstruct(packets []trace.Packet) *Verdict {
 		}
 	}
 
-	// Seed the graph, then drain the dirty queue to the fixed point.
-	s.walkState(entryPC, 0, nil)
-	for len(s.dirty) > 0 && !s.aborted {
-		key := s.dirty[0]
-		s.dirty = s.dirty[1:]
-		delete(s.inDirty, key)
-		if e := s.memo[key]; e != nil {
-			s.evaluate(key, e)
-		}
-	}
+	s.drain(entryPC)
 	if s.aborted {
 		return fail(ReasonWorkBudget, fmt.Sprintf("verification exceeded the %d-instruction work budget", v.opts.maxInstrs), 0)
 	}
 
-	outs := s.walkState(entryPC, 0, nil)
-	for _, o := range outs {
+	for _, o := range s.walkState(entryPC, 0, nil) {
 		if o.cursor != len(packets) {
 			continue
 		}

@@ -33,6 +33,17 @@
 // complete evidence stream; the witness path is then materialized from the
 // derivation links.
 //
+// A reject needs no derivations, only its first contradiction. When the
+// compiled automaton has declined a stream, a certify pass runs before
+// the search: it walks the same configuration space in set semantics
+// (outcome values per frame context, no derivations) and establishes
+// that no derivation accepts, that the fixed point fits the work budget,
+// and whether any ROP, JOP or escape contradiction is reachable. The
+// search then stops as soon as its verdict is final: at the first attack
+// note when an attack is reachable, else at the first note. Anything the
+// pass cannot certify, and every stream of the interpreter engine, runs
+// the full fixed point.
+//
 // Replay policies detect the runtime attacks CFA targets: return
 // destinations must match the call-site successor (ROP), indirect-call
 // destinations must be function entries (JOP), table jumps must stay
@@ -210,7 +221,7 @@ func (v *Verifier) hmemMismatch(hmem [sha256.Size]byte, tm PhaseTiming) *Verdict
 // tooling aid; skips authentication and the whole-stream verdict cache,
 // though an attached cache still shares segment summaries).
 func (v *Verifier) ReplayPackets(packets []trace.Packet) *Verdict {
-	return v.reconstruct(packets)
+	return v.reconstruct(packets, false)
 }
 
 // retToHaltSentinel mirrors the CPU's initial-LR halt sentinel (with the

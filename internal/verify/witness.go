@@ -46,7 +46,7 @@ func (s *summarizer) emitFrame(pc uint32, cursor int, loopCtx loopMap, o *outcom
 			// the search. Defensive stop.
 			panic(fmt.Sprintf("verify: witness derivation pruned at %#x", pc))
 		case advExit:
-			return st.exit.cursor, st.exit.pc
+			return st.cursor, st.pc
 		}
 		if o == nil {
 			panic(fmt.Sprintf("verify: witness derivation exhausted at node %#x", st.pc))
