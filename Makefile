@@ -29,12 +29,14 @@ race:
 # Execute the fuzz seed corpora as regression tests (no fuzzing time;
 # use `go test -fuzz FuzzReadFrame ./internal/remote` to actually fuzz).
 fuzz:
-	$(GO) test -run Fuzz ./internal/remote ./internal/attest ./internal/core ./internal/verify ./internal/trace/pipeline ./internal/router
+	$(GO) test -run Fuzz ./internal/remote ./internal/attest ./internal/core ./internal/verify ./internal/trace/pipeline ./internal/router ./internal/speccfa
 
 # Short coverage-guided fuzzing of every target (one at a time: the Go
 # fuzzer allows a single -fuzz pattern per package invocation). 30s per
 # target keeps this inside a CI budget while still churning millions of
-# execs over the checked-in seed corpora.
+# execs over the checked-in seed corpora. FuzzMineDifferential's seeds
+# are whole app evidence streams (up to 20 kB), so its minimisation of
+# each new input is capped at 2s or it would eat the fuzz time.
 FUZZTIME ?= 30s
 fuzz-smoke: fuzz
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/remote
@@ -46,6 +48,7 @@ fuzz-smoke: fuzz
 	$(GO) test -run xxx -fuzz FuzzRejectRender -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -run xxx -fuzz FuzzPipelineDecode -fuzztime $(FUZZTIME) ./internal/trace/pipeline
 	$(GO) test -run xxx -fuzz FuzzRouterHello -fuzztime $(FUZZTIME) ./internal/router
+	$(GO) test -run xxx -fuzz FuzzMineDifferential -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/speccfa
 
 # Regenerate the checked-in seed corpora under testdata/fuzz/.
 fuzz-corpus:

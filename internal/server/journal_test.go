@@ -14,17 +14,46 @@ import (
 	"raptrack/internal/server"
 )
 
-// waitJournal polls the journal until pred holds over its counters.
-func waitJournal(t *testing.T, j *journal.Journal, pred func(journal.Counters) bool) journal.Counters {
+// journalState is one consistent view of a journal: counters and ring
+// read with no record appended or shed in between. Counters only grow, so
+// two equal reads around the ring copy bracket an unchanged journal.
+type journalState struct {
+	counters journal.Counters
+	ring     []journal.Record
+	verdicts []journal.Record // verdict records on disk, then in the ring
+}
+
+// waitVerdicts polls until n verdict records are journaled, on disk or
+// shed to the ring, and returns the state it saw them in. The gateway
+// commits each verdict just after delivering it, and mining promotions
+// add dictionary records alongside, so neither the session count nor
+// the record counters say when the last verdict has landed.
+func waitVerdicts(t *testing.T, j *journal.Journal, n int) journalState {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c := j.Counters()
-		if pred(c) {
-			return c
+		var st journalState
+		rep, err := journal.ScanDir(nil, j.Dir())
+		for {
+			st.counters = j.Counters()
+			st.ring = j.Ring()
+			if j.Counters() == st.counters {
+				break
+			}
+		}
+		if err == nil && rep.Break == nil {
+			for _, rec := range append(rep.Records, st.ring...) {
+				if rec.Kind == journal.KindVerdict {
+					st.verdicts = append(st.verdicts, rec)
+				}
+			}
+			if len(st.verdicts) >= n {
+				return st
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("journal condition not reached; last: %+v", c)
+			t.Fatalf("%d of %d verdict records journaled (scan err=%v, break=%v); counters %+v",
+				len(st.verdicts), n, err, rep.Break, st.counters)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -52,19 +81,11 @@ func TestGatewayJournalsEveryVerdict(t *testing.T) {
 		}
 	}
 	waitStats(t, g, func(s server.Stats) bool { return s.VerdictOK == sessions })
-	// The commit happens just after the verdict is delivered — poll.
-	waitJournal(t, j, func(c journal.Counters) bool { return c.Appended >= sessions })
-
-	rep, err := journal.ScanDir(nil, dir)
-	if err != nil || rep.Break != nil {
-		t.Fatalf("scan: break=%v, err=%v", rep.Break, err)
+	st := waitVerdicts(t, j, sessions)
+	if len(st.ring) != 0 {
+		t.Fatalf("healthy journal shed %d records", len(st.ring))
 	}
-	verdicts := 0
-	for _, rec := range rep.Records {
-		if rec.Kind != journal.KindVerdict {
-			continue // dictionary snapshots ride along
-		}
-		verdicts++
+	for _, rec := range st.verdicts {
 		if rec.App != "prime" || rec.Device == "" {
 			t.Fatalf("verdict record missing identity: %+v", rec)
 		}
@@ -75,8 +96,8 @@ func TestGatewayJournalsEveryVerdict(t *testing.T) {
 			t.Fatalf("evidence payload does not decode (%d reports): %v", len(reports), err)
 		}
 	}
-	if verdicts != sessions {
-		t.Fatalf("journaled %d verdicts for %d sessions", verdicts, sessions)
+	if len(st.verdicts) != sessions {
+		t.Fatalf("journaled %d verdicts for %d sessions", len(st.verdicts), sessions)
 	}
 }
 
@@ -105,7 +126,8 @@ func TestGatewayJournalFsyncStormNeverFailsSessions(t *testing.T) {
 		}
 	}
 	waitStats(t, g, func(s server.Stats) bool { return s.VerdictOK == sessions })
-	c := waitJournal(t, j, func(c journal.Counters) bool { return c.Appended+c.Shed >= sessions })
+	st := waitVerdicts(t, j, sessions)
+	c := st.counters
 
 	if !j.Degraded() {
 		t.Fatal("journal not degraded under a total fsync storm")
@@ -115,8 +137,11 @@ func TestGatewayJournalFsyncStormNeverFailsSessions(t *testing.T) {
 	}
 	// Every shed record is accounted: still held in the ring or counted
 	// as evicted from it — nothing vanishes without a number attached.
-	if c.Shed != uint64(len(j.Ring()))+c.RingDropped {
-		t.Fatalf("shed accounting: shed=%d ring=%d dropped=%d", c.Shed, len(j.Ring()), c.RingDropped)
+	if c.Shed != uint64(len(st.ring))+c.RingDropped {
+		t.Fatalf("shed accounting: shed=%d ring=%d dropped=%d", c.Shed, len(st.ring), c.RingDropped)
+	}
+	if len(st.verdicts) != sessions {
+		t.Fatalf("journaled %d verdicts for %d sessions", len(st.verdicts), sessions)
 	}
 	if in.Counts().DiskFsyncErrs == 0 {
 		t.Fatal("injector recorded no fsync errors")

@@ -80,6 +80,7 @@ type gatewayMetrics struct {
 	healAcks        *obs.Counter
 
 	minedSessions   *obs.Counter
+	mineSeconds     *obs.Histogram
 	dictPromotions  *obs.Counter
 	dictQuarantines *obs.Counter
 
@@ -201,6 +202,9 @@ func (g *Gateway) registerMetrics() *gatewayMetrics {
 
 	m.minedSessions = r.Counter("raptrack_mined_sessions_total",
 		"Accepted sessions whose evidence was mined for hot sub-paths.")
+	m.mineSeconds = r.Histogram("raptrack_mine_seconds",
+		"Verify-worker wall time of one mining pass (Mine, then merge and promotion self-check), after the verdict is delivered.",
+		stageBounds)
 	m.dictPromotions = r.Counter("raptrack_dict_promotions_total",
 		"Sub-paths promoted into live dictionaries.")
 	m.dictQuarantines = r.Counter("raptrack_dict_quarantines_total",

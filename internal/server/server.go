@@ -54,6 +54,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"sync"
@@ -479,6 +480,22 @@ func (g *Gateway) writeFrame(tc *timedConn, typ byte, payload []byte) error {
 	return err
 }
 
+// hangUp ends a shed connection without a TCP reset. The client's HELO
+// is usually in flight already, and closing a socket with unread bytes
+// makes the kernel answer with RST, which can destroy the BUSY frame
+// before the client reads it; the client then sees a broken pipe
+// instead of ErrBusy and its retry-after hint. So the gateway half-closes
+// and discards what the client sends until it hangs up, bounded in bytes
+// and by timeout. The caller still closes conn.
+func hangUp(conn net.Conn, timeout time.Duration) {
+	cw, ok := conn.(interface{ CloseWrite() error })
+	if !ok || cw.CloseWrite() != nil {
+		return
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(timeout))
+	_, _ = io.CopyN(io.Discard, conn, 64<<10) // far above a HELO
+}
+
 // handleConn runs one session: acquire a slot or shed, then speak the
 // protocol under deadlines. Every connection — shed, failed, or verdict
 // — commits exactly one span trace.
@@ -499,6 +516,7 @@ func (g *Gateway) handleConn(conn net.Conn) {
 		if remote.WriteFrame(conn, remote.FrameBusy, remote.EncodeBusy(g.cfg.BusyRetryAfter)) == nil {
 			countFrame(g.m.framesOut[:], remote.FrameBusy)
 		}
+		hangUp(conn, g.cfg.IOTimeout)
 		tr.Finish("shed-busy", "at session capacity")
 		g.obs.Commit(tr)
 		return
@@ -820,11 +838,15 @@ func (g *Gateway) maybeMine(st *appState, vd *verify.Verdict) {
 		return
 	}
 	g.m.minedSessions.Inc()
+	start := time.Now()
 	mined, err := speccfa.Mine(vd.Evidence, g.cfg.MinePaths, 2, 8)
 	if err != nil || mined.Len() == 0 {
+		g.m.mineSeconds.ObserveDuration(time.Since(start))
 		return
 	}
-	if propose, ok := g.mineCandidate(st, mined, vd); ok {
+	propose, ok := g.mineCandidate(st, mined, vd)
+	g.m.mineSeconds.ObserveDuration(time.Since(start))
+	if ok {
 		// Propose outside dictMu: the bus delivers the epoch-stamped
 		// canonical version back through AdoptDictionary, which takes the
 		// same mutex on this very gateway.

@@ -417,6 +417,24 @@ func TestGatewayFastPath(t *testing.T) {
 	if st.DictPromotions == 0 || st.DictPaths == 0 {
 		t.Errorf("no dictionary promotion: %+v", st)
 	}
+	// Every mining pass is timed. Mining runs after delivery, so the
+	// histogram count catches up with the pass counter once the last
+	// pass ends.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		passes := g.Snapshot().MinedSessions
+		var b strings.Builder
+		if err := g.Observer().Registry().WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(b.String(), fmt.Sprintf("raptrack_mine_seconds_count %d\n", passes)) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("raptrack_mine_seconds_count never reached %d passes", passes)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestGatewayFastPathDisabled: CacheBytes/MineEvery < 0 turn both halves

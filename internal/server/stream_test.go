@@ -219,19 +219,10 @@ func TestGatewayStreamingJournalReplay(t *testing.T) {
 		t.Fatalf("tampered: %+v, %v", gv, err)
 	}
 	waitStats(t, g, func(s server.Stats) bool { return s.VerdictOK+s.VerdictAttack == 2 })
-	waitJournal(t, j, func(c journal.Counters) bool { return c.Appended >= 2 })
+	st := waitVerdicts(t, j, 2)
 
-	rep, err := journal.ScanDir(nil, dir)
-	if err != nil || rep.Break != nil {
-		t.Fatalf("scan: break=%v, err=%v", rep.Break, err)
-	}
 	v := core.NewVerifier(f.link, f.key)
-	verdicts := 0
-	for _, rec := range rep.Records {
-		if rec.Kind != journal.KindVerdict {
-			continue
-		}
-		verdicts++
+	for _, rec := range st.verdicts {
 		chal, reports, err := attest.DecodeEvidence(rec.Payload)
 		if err != nil {
 			t.Fatalf("evidence decode: %v", err)
@@ -251,8 +242,8 @@ func TestGatewayStreamingJournalReplay(t *testing.T) {
 				rec.Outcome, rec.Detail, want, got.Detail)
 		}
 	}
-	if verdicts != 2 {
-		t.Fatalf("journaled %d verdicts for 2 sessions", verdicts)
+	if len(st.verdicts) != 2 {
+		t.Fatalf("journaled %d verdicts for 2 sessions", len(st.verdicts))
 	}
 }
 

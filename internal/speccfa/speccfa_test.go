@@ -1,6 +1,8 @@
 package speccfa
 
 import (
+	"bytes"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -155,6 +157,44 @@ func TestMineFindsLoopPattern(t *testing.T) {
 	}
 	if len(out) != len(stream) {
 		t.Fatalf("round trip %d != %d", len(out), len(stream))
+	}
+}
+
+// TestMineHashCollision: two different windows with equal rolling hashes
+// are counted apart, because Mine confirms every hash hit packet by
+// packet. roll is invertible in its last packet, so the colliding window
+// can be constructed.
+func TestMineHashCollision(t *testing.T) {
+	a1, a2 := pk(0x100, 0x200), pk(0x300, 0x400)
+	target := bits.RotateLeft64(roll(0, a1), 29) ^ (uint64(a2.Src)<<32 | uint64(a2.Dst))
+	var b1, b2 trace.Packet
+	for src := uint32(0x500); ; src += 4 {
+		b1 = pk(src, 0x600)
+		w := target ^ bits.RotateLeft64(roll(0, b1), 29)
+		if b2 = pk(uint32(w>>32), uint32(w)); b2.Src < MarkerBase {
+			break
+		}
+	}
+	if roll(roll(0, a1), a2) != roll(roll(0, b1), b2) {
+		t.Fatal("constructed windows do not collide")
+	}
+	var stream []trace.Packet
+	for i := 0; i < 3; i++ {
+		stream = append(stream, a1, a2, pk(1, uint32(i)))
+	}
+	for i := 0; i < 2; i++ {
+		stream = append(stream, b1, b2, pk(2, uint32(i)))
+	}
+	got, err := Mine(stream, 8, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReferenceMine(stream, 8, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Encode(), want.Encode()) || got.Len() != 2 {
+		t.Fatalf("Mine chose %v, reference %v", got.Paths(), want.Paths())
 	}
 }
 

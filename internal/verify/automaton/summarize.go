@@ -229,6 +229,7 @@ type summarizer struct {
 
 	loopTab [][]uint64 // interned per-frame loop registers (0: all idle)
 	loopIDs map[string]int32
+	loopKey []byte // setSlot's reused lookup-key buffer
 
 	work   uint64
 	budget uint64
@@ -255,7 +256,7 @@ func (s *summarizer) summarize(c *core, pk []trace.Packet, budget uint64) (oracl
 	s.seen.reset()
 	s.ctxIDs.reset()
 	s.loopTab = append(s.loopTab[:0], make([]uint64, c.slots))
-	s.loopIDs = nil
+	clear(s.loopIDs)
 
 	root := s.rowOf(c.entry)
 	if root < 0 {
@@ -377,31 +378,36 @@ func (s *summarizer) complete(cid int32, out sumOutcome) {
 
 // setSlot interns the loop-register vector equal to base with slot
 // replaced by val (0 idle, rem+1 when an entered loop has rem continues).
+// The lookup key is built in a reused buffer; only a vector not seen
+// before is allocated.
 func (s *summarizer) setSlot(base int32, slot uint16, val uint64) int32 {
 	v := s.loopTab[base]
 	if v[slot] == val {
 		return base
 	}
-	nv := make([]uint64, len(v))
-	copy(nv, v)
-	nv[slot] = val
-	kb := make([]byte, 8*len(nv))
-	for i, x := range nv {
-		binary.LittleEndian.PutUint64(kb[i*8:], x)
+	kb := s.loopKey[:0]
+	for i, x := range v {
+		if i == int(slot) {
+			x = val
+		}
+		kb = binary.LittleEndian.AppendUint64(kb, x)
 	}
-	k := string(kb)
-	if s.loopIDs == nil {
-		s.loopIDs = make(map[string]int32, 8)
-	}
-	if id, have := s.loopIDs[k]; have {
+	s.loopKey = kb
+	if id, have := s.loopIDs[string(kb)]; have {
 		return id
 	}
 	if len(s.loopTab) >= sumMaxLoops {
 		return -1
 	}
+	nv := make([]uint64, len(v))
+	copy(nv, v)
+	nv[slot] = val
+	if s.loopIDs == nil {
+		s.loopIDs = make(map[string]int32, 8)
+	}
 	id := int32(len(s.loopTab))
 	s.loopTab = append(s.loopTab, nv)
-	s.loopIDs[k] = id
+	s.loopIDs[string(kb)] = id
 	return id
 }
 
